@@ -1,8 +1,9 @@
 // Package graph implements the dependency-graph machinery used by the Janus
-// and Detock baselines: strongly-connected-component computation (Tarjan) for
-// deterministic execution of conflict cycles, and cycle detection for
-// deadlock resolution. These are the "intensive graph algorithms" whose CPU
-// cost Tiga's evaluation contrasts against timestamp ordering (§1, §5.2).
+// baseline: strongly-connected-component computation (Tarjan) for
+// deterministic execution of conflict cycles. This is one of the "intensive
+// graph algorithms" whose CPU cost Tiga's evaluation contrasts against
+// timestamp ordering (§1, §5.2); Detock's deadlock-resolution cost is
+// modelled by count, without building a graph.
 package graph
 
 import "sort"
@@ -135,36 +136,6 @@ func (g *Graph) SCC() [][]uint64 {
 		}
 	}
 	return comps
-}
-
-// HasCycleFrom reports whether v participates in a cycle reachable from
-// itself — Detock's deadlock-detection primitive.
-func (g *Graph) HasCycleFrom(v uint64) bool {
-	visited := make(map[uint64]bool)
-	var stack []uint64
-	stack = append(stack, v)
-	first := true
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if u == v && !first {
-			return true
-		}
-		first = false
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		for w := range g.adj[u] {
-			if w == v {
-				return true
-			}
-			if !visited[w] {
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
 }
 
 // Ready returns vertices with no outstanding dependencies (empty adjacency

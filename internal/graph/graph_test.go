@@ -76,28 +76,9 @@ func TestSCCDeterministic(t *testing.T) {
 	}
 }
 
-func TestHasCycleFrom(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	if g.HasCycleFrom(1) {
-		t.Fatal("chain has no cycle")
-	}
-	g.AddEdge(3, 1)
-	if !g.HasCycleFrom(1) {
-		t.Fatal("cycle undetected")
-	}
-	if !g.HasCycleFrom(2) {
-		t.Fatal("cycle undetected from 2")
-	}
-}
-
 func TestSelfLoop(t *testing.T) {
 	g := New()
 	g.AddEdge(7, 7)
-	if !g.HasCycleFrom(7) {
-		t.Fatal("self-loop is a cycle")
-	}
 	comps := g.SCC()
 	if len(comps) != 1 || comps[0][0] != 7 {
 		t.Fatalf("comps = %v", comps)

@@ -16,7 +16,6 @@ import (
 	"sort"
 	"time"
 
-	"tiga/internal/graph"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -82,6 +81,13 @@ type dtxn struct {
 	done    bool
 	acks    map[int]bool
 	rets    map[int][]byte
+
+	// Execution-queue state (queue.go): enqueue position, rank tiebreak,
+	// unordered-list links and the distinct keys touched.
+	enq        uint64
+	tie        int64
+	prev, next *dtxn
+	refs       []keyRef
 }
 
 // engine is one region's Detock server: it orders and executes transactions
@@ -93,7 +99,7 @@ type engine struct {
 	sts    map[int]*store.Store // shard -> store (full copy per region)
 	seq    uint64
 	txns   map[uint64]*dtxn
-	queue  []*dtxn
+	q      execQueue
 }
 
 // System is a running Detock deployment.
@@ -123,6 +129,7 @@ func New(spec Spec) *System {
 		node := spec.Net.AddNode(simnet.Region(reg), nil)
 		en := &engine{sys: sys, region: reg, node: node,
 			sts: make(map[int]*store.Store), txns: make(map[uint64]*dtxn)}
+		en.q = newExecQueue(en.execute)
 		for sh := 0; sh < spec.Shards; sh++ {
 			en.sts[sh] = store.New()
 			if spec.Seed != nil {
@@ -195,7 +202,7 @@ func (en *engine) onHomeReq(m homeReq) {
 	d.homes = m.Homes
 	if !d.queued {
 		d.queued = true
-		en.queue = append(en.queue, d)
+		en.q.enqueue(d)
 	}
 	d.coord = m.Coord
 	en.seq++
@@ -233,94 +240,20 @@ func (en *engine) tryOrder(d *dtxn) {
 		}
 	}
 	d.key = max<<16 | (tid(d.t.ID) & 0xffff)
-	// Model the deadlock-resolution cost: build the conflict graph over
-	// pending ordered transactions and check for cycles through d.
-	g := graph.New()
-	me := tid(d.t.ID)
-	g.AddNode(me)
-	// Cap the modeled deadlock-detection scan so saturated queues do not turn
-	// per-arrival ordering into quadratic work (DDR only needs the recent
-	// conflicting window).
-	scan := en.queue
-	if max := en.sys.spec.DDRScan; len(scan) > max {
-		scan = scan[:max]
-	}
-	for _, o := range scan {
-		if o == d || o.t == nil || o.done {
-			continue
-		}
-		if o.t.ConflictsWith(d.t) {
-			oid := tid(o.t.ID)
-			if o.key < d.key {
-				g.AddEdge(oid, me)
-			} else {
-				g.AddEdge(me, oid)
-			}
-		}
-	}
-	en.node.Work(en.sys.spec.GraphCost * time.Duration(g.Len()+g.Edges()))
-	_ = g.HasCycleFrom(me)
-	en.tryExecute()
-}
-
-// tryExecute runs ordered transactions in global key order: a transaction
-// executes once every conflicting pending transaction with a smaller key has
-// finished. A single pass with accumulated blocked-key sets makes this
-// O(queue × keys) rather than O(queue²).
-func (en *engine) tryExecute() {
-	sort.SliceStable(en.queue, func(i, j int) bool { return en.queue[i].key < en.queue[j].key })
-	blockedR := make(map[string]bool)
-	blockedW := make(map[string]bool)
-	addKeys := func(d *dtxn) {
-		for _, p := range d.t.Pieces {
-			for _, k := range p.ReadSet {
-				blockedR[k] = true
-			}
-			for _, k := range p.WriteSet {
-				blockedW[k] = true
-			}
-		}
-	}
-	conflicts := func(d *dtxn) bool {
-		for _, p := range d.t.Pieces {
-			for _, k := range p.WriteSet {
-				if blockedR[k] || blockedW[k] {
-					return true
-				}
-			}
-			for _, k := range p.ReadSet {
-				if blockedW[k] {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	for _, d := range en.queue {
-		if d.t == nil || d.done {
-			continue
-		}
-		if !d.ordered || conflicts(d) {
-			// Unordered or blocked entries gate later conflicting ones.
-			addKeys(d)
-			continue
-		}
-		en.execute(d)
-	}
-	// Compact completed entries.
-	live := en.queue[:0]
-	for _, d := range en.queue {
-		if !d.done {
-			live = append(live, d)
-		}
-	}
-	en.queue = live
+	// Model the deadlock-resolution cost: a conflict graph over the pending
+	// transactions in the scan window, with d at its centre — one node for d
+	// plus one node and one edge per conflicting transaction. The window is
+	// capped so saturated queues do not turn per-arrival ordering into
+	// quadratic work (DDR only needs the recent conflicting window). A star
+	// has no cycle, so no cycle check is modelled.
+	n := en.q.conflicts(d, en.sys.spec.DDRScan)
+	en.node.Work(en.sys.spec.GraphCost * time.Duration(1+2*n))
+	en.q.order(d)
 }
 
 // execute runs the pieces homed in this region and starts synchronous
 // geo-replication of their writes.
 func (en *engine) execute(d *dtxn) {
-	d.done = true
 	writes := make(map[int]map[string][]byte)
 	for _, sh := range d.t.Shards() {
 		if en.sys.spec.Home(sh) != en.region {

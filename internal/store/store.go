@@ -118,15 +118,21 @@ func (s *Store) GetID(id txn.KeyID) []byte {
 	return vs[len(vs)-1].val
 }
 
-// Seed installs an initial committed value (workload pre-population). Keys
-// seeded one at a time are not interned; use SeedBulk for the ID fast path.
+// Seed installs an initial committed value (workload pre-population), or
+// replaces a key's whole history with one committed value (protocols that
+// apply writes in place). Keys seeded one at a time are not interned; use
+// SeedBulk for the ID fast path. An existing key reuses its version slice,
+// so reseeding allocates nothing.
 func (s *Store) Seed(key string, val []byte) {
 	e := s.data[key]
 	if e == nil {
 		e = &slot{}
 		s.data[key] = e
 	}
-	e.vs = []version{{val: val}}
+	if len(e.vs) > 1 {
+		clear(e.vs[1:]) // release the dropped versions' values
+	}
+	e.vs = append(e.vs[:0], version{val: val})
 }
 
 // Reserve sizes the key map for n additional keys ahead of a per-key bulk

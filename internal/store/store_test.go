@@ -24,6 +24,29 @@ func TestSeedAndGet(t *testing.T) {
 	}
 }
 
+// Reseeding an existing key overwrites its version in place: no allocation,
+// and a SeedBulk neighbour sharing the backing array keeps its value.
+func TestReseedReusesSlot(t *testing.T) {
+	s := New()
+	s.SeedBulk([]string{"a", "b", "c"}, txn.EncodeInt(1))
+	v := txn.EncodeInt(2)
+	if n := testing.AllocsPerRun(100, func() { s.Seed("b", v) }); n != 0 {
+		t.Fatalf("reseeding an existing key allocates %.1f times", n)
+	}
+	if txn.DecodeInt(s.Get("b")) != 2 || txn.DecodeInt(s.GetID(1)) != 2 {
+		t.Fatal("reseed not visible through both indexes")
+	}
+	if txn.DecodeInt(s.Get("a")) != 1 || txn.DecodeInt(s.Get("c")) != 1 {
+		t.Fatal("reseed overwrote a neighbouring key")
+	}
+	// A key with a version history collapses to the one reseeded version.
+	s.PutCommitted("c", ts(5), txn.EncodeInt(3))
+	s.Seed("c", txn.EncodeInt(4))
+	if s.Versions() != 3 || txn.DecodeInt(s.Get("c")) != 4 {
+		t.Fatalf("after reseed: %d versions, c = %d", s.Versions(), txn.DecodeInt(s.Get("c")))
+	}
+}
+
 func TestExecuteAtMostOnce(t *testing.T) {
 	s := New()
 	s.Seed("x", txn.EncodeInt(0))
